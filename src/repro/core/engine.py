@@ -1,14 +1,20 @@
-"""Workload-level execution facade: windows, systems, metrics.
+"""Workload-level execution: windows, systems, metrics.
 
-``run_system(events, workload, system)`` evaluates a whole workload of
-trend aggregation queries over one group's event stream under a chosen
-system:
+``WindowRunner(workload, system)`` is the online windowed executor.
+``feed(events)`` pushes events into live engines, one set per window
+instance; ``close_until(t, rr)`` reads out every instance that has ended
+by ``t`` into a :class:`RunResult` (a window's aggregates are final when
+it closes, §3.3). ``run_system(events, workload, system)`` feeds one
+group's whole stream and closes every window; the Structured Streaming
+operator (``repro.sparkrt.streaming``) feeds one micro-batch at a time
+and closes the windows its event time has passed. Systems:
 
 - ``hamlet``            — sharable sets + dynamic per-burst optimizer (§4)
 - ``hamlet-static``     — sharable sets, compile-time always-share (§6.2)
 - ``hamlet-nonshared``  — Hamlet executor, sharing disabled
 - ``greta``             — the non-shared GRETA baseline (§3.2, Eq. 4 loop)
-- ``sharon`` / ``mcep`` — baselines (repro.baselines)
+- ``sharon`` / ``mcep`` — whole-window baselines (repro.baselines),
+  ``run_system`` only
 
 Windows: each (window, slide) signature is evaluated per window
 *instance* (DESIGN.md substitution: cross-window pane sharing is prior
@@ -18,16 +24,18 @@ matching the paper's metric definitions (§6.1).
 """
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .events import Event
 from .greta import GretaState
 from .hamlet import HamletSetEngine, Metrics
 from .queries import Query
-from .template import SharableSet, pane_size, sharable_sets
+from .template import pane_size, sharable_sets
 
 SYSTEMS = ("hamlet", "hamlet-static", "hamlet-nonshared", "greta", "sharon", "mcep")
 
@@ -73,7 +81,8 @@ def window_instances(events: Sequence[Event], window: float, slide: float):
         return
     times = [e.time for e in events]
     t_max = times[-1]
-    m = 0
+    # instances ending a full slide before the first event hold none of them
+    m = max(0, int((times[0] - window) // slide))
     while m * slide <= t_max:
         start = m * slide
         lo = bisect_left(times, start)
@@ -83,17 +92,133 @@ def window_instances(events: Sequence[Event], window: float, slide: float):
         m += 1
 
 
-def _engine_groups(workload: Sequence[Query]):
-    """Partition the workload into sharable sets and singleton queries
-    (workload analysis, §3.1)."""
+class _HamletWindow:
+    """One sharable set's (or Kleene singleton's) engine on one window instance."""
+
+    def __init__(self, queries, kleene_type: str, mode: str, pane: float):
+        self.eng = HamletSetEngine(queries, kleene_type, mode=mode, pane=pane)
+
+    def feed(self, events: Sequence[Event]) -> None:
+        for e in events:
+            self.eng.on_event(e)
+
+    def close(self) -> tuple[dict, Metrics]:
+        self.eng.end_window()
+        return self.eng.results(), self.eng.m
+
+
+class _GretaWindow:
+    """Per-query GRETA states on one window instance.
+
+    With ``count_mem`` the instance's peak memory is the sum of the live
+    per-query graphs (each query replicates its matched events, §3.2).
+    A Kleene-free query run beside Hamlet engines reports none: Hamlet's
+    peak memory is the largest single engine's."""
+
+    def __init__(self, queries, count_mem: bool):
+        self.states = [GretaState(q) for q in queries]
+        self.count_mem = count_mem
+        self.n_events = 0
+
+    def feed(self, events: Sequence[Event]) -> None:
+        self.n_events += len(events)
+        for st in self.states:
+            for e in events:
+                st.on_event(e)
+
+    def close(self) -> tuple[dict, Metrics]:
+        stored = sum(st.n_stored for st in self.states)
+        m = Metrics(
+            events=self.n_events * len(self.states),
+            stored_events=stored,
+            ops=sum(st.ops for st in self.states),
+            peak_mem_bytes=stored * 32 if self.count_mem else 0,
+        )
+        return {st.q.qid: st.results() for st in self.states}, m
+
+
+_MODES = {"hamlet": "dynamic", "hamlet-static": "static", "hamlet-nonshared": "nonshared"}
+
+
+def _engine_groups(workload: Sequence[Query], system: str) -> dict[tuple, list[Callable]]:
+    """Map each (window, slide) signature to the factories of one window
+    instance's engines (workload analysis, §3.1). GRETA gets one group of
+    per-query states per signature; Hamlet gets one engine per sharable
+    set plus one per remaining query, a GRETA state when it is Kleene-free.
+    The only place that knows the system."""
+    groups: dict[tuple, list[Callable]] = {}
+    if system == "greta":
+        by_sig: dict[tuple, list[Query]] = {}
+        for q in workload:
+            by_sig.setdefault((q.window, q.slide), []).append(q)
+        for sig, qs in by_sig.items():
+            groups[sig] = [partial(_GretaWindow, tuple(qs), True)]
+        return groups
+    mode = _MODES[system]
     sets, singles = sharable_sets(workload)
-    groups: list[tuple] = []
     for s in sets:
-        groups.append((s.queries, s.etype, s.pane))
+        q0 = s.queries[0]
+        groups.setdefault((q0.window, q0.slide), []).append(
+            partial(_HamletWindow, s.queries, s.etype, mode, s.pane)
+        )
     for q in singles:
         kts = sorted(q.kleene_types())
-        groups.append(((q,), kts[0] if kts else None, pane_size([q.window, q.slide])))
+        if kts:
+            pane = pane_size([q.window, q.slide])
+            factory = partial(_HamletWindow, (q,), kts[0], "nonshared", pane)
+        else:
+            factory = partial(_GretaWindow, (q,), False)
+        groups.setdefault((q.window, q.slide), []).append(factory)
     return groups
+
+
+class WindowRunner:
+    """Online windowed evaluation of a workload over one group's stream.
+
+    ``feed`` pushes events into the window instances that contain them,
+    creating an instance's engines when its first event arrives;
+    ``close_until`` reads out the instances that have ended. ``open``
+    maps ``(window, slide, start)`` to ``[engines, wall seconds so far]``.
+    With ``closed_until`` it is all the state between calls: the
+    streaming operator pickles exactly these two.
+    """
+
+    def __init__(self, workload: Sequence[Query], system: str):
+        self._groups = _engine_groups(workload, system)
+        self.open: dict[tuple, list] = {}
+        self.closed_until = -math.inf
+
+    def feed(self, events: Sequence[Event]) -> None:
+        """Process time-sorted ``events``. An event whose window instance
+        was closed already is dropped (late)."""
+        for (window, slide), factories in self._groups.items():
+            for start, evs in window_instances(events, window, slide):
+                if start + window <= self.closed_until:
+                    continue
+                t0 = time.perf_counter()
+                key = (window, slide, start)
+                win = self.open.get(key)
+                if win is None:
+                    win = self.open[key] = [[f() for f in factories], 0.0]
+                for eng in win[0]:
+                    eng.feed(evs)
+                win[1] += time.perf_counter() - t0
+
+    def close_until(self, t: float, rr: RunResult) -> None:
+        """Finalize every open instance with ``start + window <= t`` into ``rr``."""
+        self.closed_until = max(self.closed_until, t)
+        for key in sorted(k for k in self.open if k[2] + k[0] <= t):
+            engines, wall = self.open.pop(key)
+            start = key[2]
+            t0 = time.perf_counter()
+            for eng in engines:
+                res, m = eng.close()
+                for qid, aggs in res.items():
+                    rr.results[(qid, start)] = aggs
+                rr.metrics.absorb(m)
+            wall += time.perf_counter() - t0
+            rr.window_wall[start] = rr.window_wall.get(start, 0.0) + wall
+            rr.total_wall += wall
 
 
 def run_system(
@@ -114,66 +239,8 @@ def run_system(
             return _sharon.run_sharon(events, workload, l_max=sharon_l)
         return _mcep.run_mcep(events, workload, max_trends=mcep_max_trends)
 
-    rr = RunResult(system=system)
-    rr.n_events = len(events)
-    if system == "greta":
-        # window-major so peak memory reflects the k concurrently-live
-        # per-query graphs (each query replicates its matched events, §3.2)
-        sigs: dict[tuple, list[Query]] = {}
-        for q in workload:
-            sigs.setdefault((q.window, q.slide), []).append(q)
-        for (window, slide), qs in sigs.items():
-            for start, evs in window_instances(events, window, slide):
-                win_mem = 0
-                for q in qs:
-                    t0 = time.perf_counter()
-                    st = GretaState(q)
-                    for e in evs:
-                        st.on_event(e)
-                    res = st.results()
-                    dt = time.perf_counter() - t0
-                    rr.results[(q.qid, start)] = res
-                    rr.window_wall[start] = rr.window_wall.get(start, 0.0) + dt
-                    rr.total_wall += dt
-                    win_mem += st.n_stored * 32
-                    rr.metrics.absorb(
-                        Metrics(events=len(evs), stored_events=st.n_stored, ops=st.ops)
-                    )
-                rr.metrics.peak_mem_bytes = max(rr.metrics.peak_mem_bytes, win_mem)
-        return rr
-
-    mode = {
-        "hamlet": "dynamic",
-        "hamlet-static": "static",
-        "hamlet-nonshared": "nonshared",
-    }[system]
-    for queries, ketype, pane in _engine_groups(workload):
-        q0 = queries[0]
-        for start, evs in window_instances(events, q0.window, q0.slide):
-            t0 = time.perf_counter()
-            if ketype is None:
-                # pure event-sequence query: GRETA state is the executor
-                st = GretaState(q0)
-                for e in evs:
-                    st.on_event(e)
-                res = {q0.qid: st.results()}
-                eng_metrics = Metrics(events=len(evs), stored_events=st.n_stored, ops=st.ops)
-            else:
-                eng = HamletSetEngine(
-                    queries,
-                    ketype,
-                    mode=mode if len(queries) > 1 else "nonshared",
-                    pane=pane,
-                )
-                for e in evs:
-                    eng.on_event(e)
-                eng.end_window()
-                res = eng.results()
-                eng_metrics = eng.m
-            dt = time.perf_counter() - t0
-            for qid, aggs in res.items():
-                rr.results[(qid, start)] = aggs
-            rr.window_wall[start] = rr.window_wall.get(start, 0.0) + dt
-            rr.total_wall += dt
-            rr.metrics.absorb(eng_metrics)
+    rr = RunResult(system=system, n_events=len(events))
+    runner = WindowRunner(workload, system)
+    runner.feed(events)
+    runner.close_until(math.inf, rr)
     return rr

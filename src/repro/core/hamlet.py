@@ -20,7 +20,7 @@ interleaving of sharing decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .events import Event
@@ -51,23 +51,10 @@ class Metrics:
     peak_mem_bytes: int = 0
 
     def absorb(self, other: "Metrics") -> None:
-        for f in (
-            "events",
-            "stored_events",
-            "ops",
-            "coeff_ops",
-            "snapshots_created",
-            "snapshot_entries",
-            "bursts",
-            "shared_bursts",
-            "decisions",
-            "plans_considered",
-            "splits",
-            "merges",
-        ):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-        self.peak_live_coeffs = max(self.peak_live_coeffs, other.peak_live_coeffs)
-        self.peak_mem_bytes = max(self.peak_mem_bytes, other.peak_mem_bytes)
+        """Add ``other`` in: ``peak_*`` fields take the max, the rest sum."""
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, max(a, b) if f.name.startswith("peak_") else a + b)
 
 
 class HamletSetEngine:
@@ -362,7 +349,7 @@ class HamletSetEngine:
             if self.E in self.tpls[qid].end:
                 self._accum_result(qid, vals)
         self.shared = None
-        self.S.gc(set())
+        self.S.gc()
 
     def _direct_kleene_value(self, qid: str, e: Event) -> list:
         """Per-query value of a Kleene event for an edge-predicate query:

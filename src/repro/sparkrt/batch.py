@@ -10,19 +10,39 @@ operator is out of scope for a Python reproduction).
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import DoubleType, LongType, StringType, StructField, StructType
 
-from ..core.engine import run_system
+from ..core.engine import RunResult, run_system
 from ..core.events import events_from_pandas
 from ..core.queries import Query
 from ..streams import ATTR_COLS
 
-RESULT_SCHEMA = "gkey long, window_start double, qid string, agg string, value double"
-_RESULT_COLS = ["gkey", "window_start", "qid", "agg", "value"]
+# one row per (group, window, query, aggregate); the streaming runtime
+# emits the same rows
+RESULT_SCHEMA = StructType(
+    [
+        StructField("gkey", LongType()),
+        StructField("window_start", DoubleType()),
+        StructField("qid", StringType()),
+        StructField("agg", StringType()),
+        StructField("value", DoubleType()),
+    ]
+)
+RESULT_COLS = RESULT_SCHEMA.fieldNames()
+
+
+def result_frame(gkey: int, rr: RunResult) -> pd.DataFrame:
+    """The result rows of one group's run."""
+    rows = [
+        (gkey, float(ws), qid, agg, float(val))
+        for (qid, ws), aggs in rr.results.items()
+        for agg, val in aggs.items()
+    ]
+    return pd.DataFrame(rows, columns=RESULT_COLS)
 
 
 def run_workload_spark(
@@ -44,13 +64,7 @@ def run_workload_spark(
     def _run_group(pdf: pd.DataFrame) -> pd.DataFrame:
         gkey = int(pdf["gkey"].iloc[0])
         events = events_from_pandas(pdf, attr_cols)
-        rr = run_system(events, workload, system, **run_kwargs)
-        rows = [
-            (gkey, float(ws), qid, agg, float(val))
-            for (qid, ws), aggs in rr.results.items()
-            for agg, val in aggs.items()
-        ]
-        return pd.DataFrame(rows, columns=_RESULT_COLS)
+        return result_frame(gkey, run_system(events, workload, system, **run_kwargs))
 
     return (
         events_df.repartition("gkey")

@@ -5,12 +5,16 @@ aggregation as a Structured Streaming stateful operator with dynamic
 sharing plan selection per micro-batch*. A file source delivers one
 **pane** per micro-batch (``maxFilesPerTrigger=1``); the stream is keyed
 by the group attribute and processed with ``applyInPandasWithState``.
-The group state carries the pickled per-window Hamlet engines; inside
-every micro-batch the dynamic optimizer re-decides the sharing plan for
-each burst (``choose_plan``), so plans adapt micro-batch by micro-batch
-exactly as the paper's optimizer adapts per burst. Completed windows
-are emitted in update mode; a far-future flush sentinel closes the final
-windows (the offline stand-in for a watermark).
+Each group runs the engine's :class:`~repro.core.engine.WindowRunner`:
+a micro-batch's events are fed to the live per-window engines, then the
+windows whose end the group's event time has reached are closed and
+their rows emitted in update mode. The group state is the runner's open
+windows and close boundary, pickled, so graphlets span micro-batches
+and the dynamic optimizer re-decides the sharing plan for every burst
+(``choose_plan``) exactly as the paper's optimizer adapts per burst.
+An event of a window that is already closed is dropped. A far-future
+flush sentinel closes the final windows (the offline stand-in for a
+watermark).
 """
 from __future__ import annotations
 
@@ -31,8 +35,11 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from ..core.events import Event
+from ..core.engine import RunResult, WindowRunner
+from ..core.events import events_from_pandas
 from ..core.queries import Query
+from ..streams import ATTR_COLS
+from .batch import RESULT_COLS, RESULT_SCHEMA, result_frame
 
 FLUSH_TYPE = "__flush__"
 
@@ -41,108 +48,38 @@ EVENT_SCHEMA = StructType(
         StructField("time", DoubleType()),
         StructField("etype", StringType()),
         StructField("gkey", LongType()),
-        StructField("v", DoubleType()),
-        StructField("w", DoubleType()),
     ]
-)
-OUT_SCHEMA = StructType(
-    [
-        StructField("gkey", LongType()),
-        StructField("window_start", DoubleType()),
-        StructField("qid", StringType()),
-        StructField("agg", StringType()),
-        StructField("value", DoubleType()),
-    ]
+    + [StructField(c, DoubleType()) for c in ATTR_COLS]
 )
 STATE_SCHEMA = StructType([StructField("blob", BinaryType())])
-
-
-def _new_window_engines(workload: Sequence[Query], mode: str):
-    """Live engines for one window instance (one per engine group)."""
-    from ..core.engine import _engine_groups
-    from ..core.greta import GretaState
-    from ..core.hamlet import HamletSetEngine
-
-    engines = []
-    for queries, ketype, pane in _engine_groups(workload):
-        if ketype is None:
-            engines.append(("greta", queries[0].qid, GretaState(queries[0])))
-        else:
-            engines.append(
-                (
-                    "hamlet",
-                    None,
-                    HamletSetEngine(
-                        queries,
-                        ketype,
-                        mode=mode if len(queries) > 1 else "nonshared",
-                        pane=pane,
-                    ),
-                )
-            )
-    return engines
 
 
 def make_stateful_func(workload: Sequence[Query], system: str, window: float):
     """Build the applyInPandasWithState function.
 
     Tumbling windows only (all queries share window==slide==``window``).
-    The group state carries *live* pickled engines, so graphlets span
-    micro-batches and the dynamic optimizer re-selects its sharing plan
-    for every burst of every micro-batch. Windows whose end time has
-    passed are finalized and their aggregates emitted.
+    The group state carries the runner's *live* pickled engines, so
+    graphlets span micro-batches and the dynamic optimizer re-selects its
+    sharing plan for every burst of every micro-batch. Windows whose end
+    time has passed are finalized and their aggregates emitted.
     """
     workload = list(workload)
     for q in workload:
         if q.window != window or q.slide != window:
             raise ValueError("streaming runtime supports one tumbling window size")
-    mode = {
-        "hamlet": "dynamic",
-        "hamlet-static": "static",
-        "hamlet-nonshared": "nonshared",
-    }[system]
+    runner = WindowRunner(workload, system)
 
     def func(key, pdf_iter, state: GroupState):
-        gkey = int(key[0])
         if state.exists:
-            st = pickle.loads(state.get[0])
+            runner.open, runner.closed_until = pickle.loads(state.get[0])
         else:
-            st = {"engines": {}, "done": set(), "max_t": -math.inf}
-        events: list[Event] = []
-        for pdf in pdf_iter:
-            for row in pdf.itertuples(index=False):
-                st["max_t"] = max(st["max_t"], float(row.time))
-                if row.etype != FLUSH_TYPE:
-                    events.append(
-                        Event(float(row.time), row.etype, {"v": float(row.v), "w": float(row.w)})
-                    )
-        events.sort(key=lambda e: e.time)
-        for e in events:
-            wid = int(e.time // window)
-            if wid in st["done"]:
-                continue  # late event past emission — dropped
-            if wid not in st["engines"]:
-                st["engines"][wid] = _new_window_engines(workload, mode)
-            for kind, qid, eng in st["engines"][wid]:
-                eng.on_event(e)
-        rows = []
-        for wid in sorted(st["engines"]):
-            if (wid + 1) * window <= st["max_t"]:
-                ws = wid * window
-                for kind, qid, eng in st["engines"].pop(wid):
-                    if kind == "greta":
-                        per_query = {qid: eng.results()}
-                    else:
-                        eng.end_window()
-                        per_query = eng.results()
-                    for q_id, aggs in per_query.items():
-                        for agg, val in aggs.items():
-                            rows.append((gkey, float(ws), q_id, agg, float(val)))
-                st["done"].add(wid)
-        state.update((pickle.dumps(st),))
-        yield pd.DataFrame(
-            rows, columns=["gkey", "window_start", "qid", "agg", "value"]
-        )
+            runner.open, runner.closed_until = {}, -math.inf
+        pdf = pd.concat(list(pdf_iter), ignore_index=True)
+        runner.feed(events_from_pandas(pdf[pdf["etype"] != FLUSH_TYPE], ATTR_COLS))
+        rr = RunResult(system=system)
+        runner.close_until(float(pdf["time"].max()), rr)
+        state.update((pickle.dumps((runner.open, runner.closed_until)),))
+        yield result_frame(int(key[0]), rr)
 
     return func
 
@@ -170,8 +107,7 @@ def write_pane_files(pdf: pd.DataFrame, pane: float, out_dir: str, window: float
             "time": [t_flush] * pdf["gkey"].nunique(),
             "etype": [FLUSH_TYPE] * pdf["gkey"].nunique(),
             "gkey": sorted(pdf["gkey"].unique()),
-            "v": 0.0,
-            "w": 0.0,
+            **{c: 0.0 for c in ATTR_COLS},
         }
     )
     path = os.path.join(out_dir, f"{n:05d}.json")
@@ -197,7 +133,7 @@ def run_stream(
     )
     out = src.groupBy("gkey").applyInPandasWithState(
         make_stateful_func(workload, system, window),
-        OUT_SCHEMA,
+        RESULT_SCHEMA,
         STATE_SCHEMA,
         "update",
         GroupStateTimeout.NoTimeout,
@@ -220,5 +156,5 @@ def run_stream(
     finally:
         q.stop()
     if not collected:
-        return pd.DataFrame(columns=["gkey", "window_start", "qid", "agg", "value"])
+        return pd.DataFrame(columns=RESULT_COLS)
     return pd.concat(collected, ignore_index=True)

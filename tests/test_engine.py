@@ -1,11 +1,15 @@
 """Workload-level facade: window instancing, system dispatch, metrics
 (paper §6.1 metric definitions)."""
+import dataclasses
+import math
+import random
+
 import pytest
 
-from repro.core.engine import RunResult, SYSTEMS, run_system, window_instances
+from repro.core.engine import RunResult, SYSTEMS, WindowRunner, run_system, window_instances
 from repro.core.events import Event
 from repro.core.hamlet import Metrics
-from repro.core.queries import Atom, Kleene, Query, seq
+from repro.core.queries import AggSpec, Atom, Kleene, Query, seq
 
 from util import assert_matches_brute, random_events
 
@@ -32,6 +36,12 @@ def test_window_instances_skip_empty():
     evs = [_ev(1.0, "B"), _ev(35.0, "B")]
     starts = [s for s, _ in window_instances(evs, 10.0, 10.0)]
     assert starts == [0.0, 30.0]
+
+
+def test_window_instances_late_first_event():
+    evs = [_ev(31.0, "B"), _ev(36.0, "B")]
+    inst = dict(window_instances(evs, window=10.0, slide=5.0))
+    assert {s: len(es) for s, es in inst.items()} == {25.0: 1, 30.0: 2, 35.0: 1}
 
 
 def test_run_system_rejects_nothing_silently():
@@ -70,6 +80,14 @@ def test_metrics_absorb_sums_and_maxes():
     a.peak_mem_bytes, b.peak_mem_bytes = 100, 300
     a.absorb(b)
     assert a.events == 8 and a.ops == 14 and a.peak_mem_bytes == 300
+    names = [f.name for f in dataclasses.fields(Metrics)]
+    a = Metrics(**{n: i + 1 for i, n in enumerate(names)})
+    b = Metrics(**{n: 20 - i for i, n in enumerate(names)})
+    a.absorb(b)
+    peaks = {"peak_live_coeffs", "peak_mem_bytes"}
+    for i, n in enumerate(names):
+        want = max(i + 1, 20 - i) if n in peaks else 21
+        assert getattr(a, n) == want, n
 
 
 def test_runresult_merge_accumulates_walls():
@@ -95,3 +113,37 @@ def test_mixed_workload_with_non_kleene_query():
     rr = run_system(events, qs, "hamlet")
     assert rr.results[("k", 0.0)]["COUNT(*)"] == 3.0
     assert rr.results[("nk", 0.0)]["COUNT(*)"] == 2.0
+
+
+RUNNER_WORKLOAD = [
+    # a tumbling sharable set, a sliding signature and a Kleene-free query
+    Query(qid="a", elems=seq(Atom("A"), Kleene("B")), window=6.0, slide=6.0,
+          aggs=(AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v"))),
+    Query(qid="c", elems=seq(Atom("C"), Kleene("B")), window=6.0, slide=6.0,
+          aggs=(AggSpec("COUNT_STAR"), AggSpec("SUM", "B", "v"))),
+    Query(qid="s", elems=seq(Atom("A"), Kleene("B")), window=8.0, slide=2.0),
+    Query(qid="nk", elems=seq(Atom("A"), Atom("D")), window=8.0, slide=2.0),
+]
+
+
+@pytest.mark.parametrize("system", ["hamlet", "hamlet-static", "hamlet-nonshared", "greta"])
+@pytest.mark.parametrize("seed", range(6))
+def test_window_runner_chunked_feed_equals_run_system(seed, system):
+    """Feeding random chunks and closing at each chunk's last event time
+    (a micro-batch's event time) gives exactly the whole-stream result."""
+    events = random_events(seed + 900, n_max=40, types="ABCD")
+    ref = run_system(events, RUNNER_WORKLOAD, system)
+    rng = random.Random(seed)
+    cuts = sorted(rng.sample(range(len(events) + 1), min(4, len(events) + 1)))
+    runner = WindowRunner(RUNNER_WORKLOAD, system)
+    rr = RunResult(system=system)
+    for lo, hi in zip([0] + cuts, cuts + [len(events)]):
+        chunk = events[lo:hi]
+        runner.feed(chunk)
+        if chunk:
+            runner.close_until(chunk[-1].time, rr)
+    runner.close_until(math.inf, rr)
+    assert not runner.open
+    assert rr.results == ref.results
+    assert rr.metrics == ref.metrics
+    assert rr.window_wall.keys() == ref.window_wall.keys()

@@ -18,6 +18,21 @@ def _ev(t, et, v=0.0):
     return Event(t, et, {"v": v})
 
 
+def _record_snapshots(eng):
+    """Spy on ``eng.S.create``: every snapshot's per-query values by id,
+    kept even after the table drops them at graphlet close."""
+    created = {}
+    create = eng.S.create
+
+    def spy(per_query):
+        sid = create(per_query)
+        created[sid] = per_query
+        return sid
+
+    eng.S.create = spy
+    return created
+
+
 def _stream_fig5ab():
     """Graphlets A1(a×2), C2(c×1), B3(b×4), A4(a×2), C5(c×3), B6(b×1...)."""
     evs = [_ev(0, "A"), _ev(1, "A"), _ev(2, "C")]
@@ -49,12 +64,12 @@ def test_table3_shared_propagation_doubles():
 def test_table4_snapshot_values():
     """Table 4: value(x,q1)=2, value(x,q2)=1; value(y,q1)=34, value(y,q2)=19."""
     eng = HamletSetEngine([Q1, Q2], "B", mode="static", pane=100.0)
+    vals = _record_snapshots(eng)
     for e in _stream_fig5ab():
         eng.on_event(e)
     eng.end_window()
-    vals = {**eng.S.archive, **eng.S.vals}
-    # snapshot ids: ONE=0, x=first entry, y=second entry
-    sids = sorted(i for i in vals if i != 0)
+    # snapshot ids: x=first entry, y=second entry
+    sids = sorted(vals)
     x, y = sids[0], sids[1]
     assert vals[x]["q1"][0] == 2 and vals[x]["q2"][0] == 1
     assert vals[y]["q1"][0] == 34 and vals[y]["q2"][0] == 19
@@ -70,12 +85,12 @@ def test_table5_event_snapshot_z():
     evs += [_ev(7, "A"), _ev(8, "A"), _ev(9, "C"), _ev(10, "C"), _ev(11, "C")]
     evs += [_ev(12, "B", 9)]
     eng = HamletSetEngine([Q1, q2], "B", mode="static", pane=100.0)
+    all_vals = _record_snapshots(eng)
     for e in evs:
         eng.on_event(e)
     eng.end_window()
-    all_vals = {**eng.S.archive, **eng.S.vals}
     # find the event snapshot created at b5: value 8 for q1, 2 for q2
-    snap_vals = [(v.get("q1", (0,))[0], v.get("q2", (0,))[0]) for sid, v in all_vals.items() if sid != 0]
+    snap_vals = [(v.get("q1", (0,))[0], v.get("q2", (0,))[0]) for v in all_vals.values()]
     assert (8, 2) in snap_vals
     # y (entry of B6) = x + sum(B3) + sum(prefix graphlets): q1=34, q2=15
     assert (34, 15) in snap_vals
