@@ -29,8 +29,10 @@ def test_bench_t12_system(benchmark, stream, wl, system):
     assert rr.results
 
 
-def test_bench_t13_dynamic_creates_fewer_snapshots(stream, wl):
-    dyn = run_partitioned(stream, wl, "hamlet")
-    sta = run_partitioned(stream, wl, "hamlet-static")
+def test_bench_t13_dynamic_creates_fewer_snapshots(benchmark, stream, wl):
+    dyn, sta = run_once(
+        benchmark,
+        lambda: [run_partitioned(stream, wl, s) for s in ("hamlet", "hamlet-static")],
+    )
     assert dyn.metrics.snapshots_created < sta.metrics.snapshots_created / 2
     assert dyn.metrics.peak_mem_bytes <= sta.metrics.peak_mem_bytes

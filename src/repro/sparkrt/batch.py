@@ -66,11 +66,7 @@ def run_workload_spark(
         events = events_from_pandas(pdf, attr_cols)
         return result_frame(gkey, run_system(events, workload, system, **run_kwargs))
 
-    return (
-        events_df.repartition("gkey")
-        .groupBy("gkey")
-        .applyInPandas(_run_group, RESULT_SCHEMA)
-    )
+    return events_df.groupBy("gkey").applyInPandas(_run_group, RESULT_SCHEMA)
 
 
 def count_star_df(results_df: DataFrame, qid: str) -> DataFrame:

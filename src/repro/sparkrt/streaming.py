@@ -15,6 +15,14 @@ and the dynamic optimizer re-decides the sharing plan for every burst
 An event of a window that is already closed is dropped. A far-future
 flush sentinel closes the final windows (the offline stand-in for a
 watermark).
+
+The state lives in one state store per shuffle partition, and every
+micro-batch runs one stateful task and one store commit per partition,
+whether or not a group key hashes to it. ``run_stream`` therefore starts
+a query with ``min(spark.sql.shuffle.partitions, defaultParallelism)``
+partitions. Spark records that count in the checkpoint's offset log and
+reuses it on every restart, so a restarted query finds its groups' state
+where it left it, whatever the session's setting is by then.
 """
 from __future__ import annotations
 
@@ -42,6 +50,7 @@ from ..streams import ATTR_COLS
 from .batch import RESULT_COLS, RESULT_SCHEMA, result_frame
 
 FLUSH_TYPE = "__flush__"
+SHUFFLE_PARTITIONS = "spark.sql.shuffle.partitions"
 
 EVENT_SCHEMA = StructType(
     [
@@ -125,7 +134,12 @@ def run_stream(
     window: float,
     checkpoint_dir: str,
 ) -> pd.DataFrame:
-    """Run the streaming query over the pane files; returns collected rows."""
+    """Run the streaming query over the pane files; returns collected rows.
+
+    A new checkpoint starts the query with ``min(spark.sql.shuffle.partitions,
+    defaultParallelism)`` state partitions; a restart on an existing
+    checkpoint keeps the count that checkpoint recorded.
+    """
     src = (
         spark.readStream.schema(EVENT_SCHEMA)
         .option("maxFilesPerTrigger", 1)
@@ -145,12 +159,19 @@ def run_stream(
         if len(pdf):
             collected.append(pdf)
 
-    q = (
-        out.writeStream.foreachBatch(sink)
-        .option("checkpointLocation", checkpoint_dir)
-        .outputMode("update")
-        .start()
-    )
+    # The query clones the session conf at .start(), so the cap is set on
+    # the caller's session for that call only.
+    conf = spark.conf.get(SHUFFLE_PARTITIONS)
+    spark.conf.set(SHUFFLE_PARTITIONS, min(int(conf), spark.sparkContext.defaultParallelism))
+    try:
+        q = (
+            out.writeStream.foreachBatch(sink)
+            .option("checkpointLocation", checkpoint_dir)
+            .outputMode("update")
+            .start()
+        )
+    finally:
+        spark.conf.set(SHUFFLE_PARTITIONS, conf)
     try:
         q.processAllAvailable()
     finally:

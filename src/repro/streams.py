@@ -157,7 +157,7 @@ def stock_stream(*, minutes=2.0, events_per_min=200, n_groups=4, burst_mean=40.0
 
 def group_events(pdf: pd.DataFrame) -> dict[int, list[Event]]:
     """Partition a stream frame into per-group time-ordered Event lists —
-    what the Spark runtime does with repartition+groupBy."""
+    what the Spark runtime's groupBy shuffle does."""
     return {
         int(g): events_from_pandas(sub, ATTR_COLS)
         for g, sub in pdf.groupby("gkey", sort=True)
